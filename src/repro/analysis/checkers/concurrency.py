@@ -1,10 +1,10 @@
 """Concurrency and picklability rules (RPR2xx).
 
 Everything shipped to a ``multiprocessing`` pool, a supervised service
-worker, or a ``ProcessPoolEvaluator`` crosses a pickle boundary — under
-the ``spawn`` start method *nothing* is inherited.  These rules encode
-the unpicklable-Manager and fork-vs-spawn bridge lessons of PRs 5–6:
-no lambdas/closures into pools, no Manager proxies in classes without a
+worker, or a :class:`~repro.utils.pool.WorkerPool` crosses a process
+boundary — under the ``spawn`` start method *nothing* is inherited.  These
+rules encode the unpicklable-Manager and fork-vs-spawn lessons: no
+lambdas/closures into pools, no Manager proxies in classes without a
 ``__getstate__``, and no lock-guarded state mutated off-lock.
 """
 
@@ -33,6 +33,7 @@ _POOLISH_METHODS = frozenset({"map", "apply", "starmap", "submit"})
 #: Constructors whose callable kwargs/args cross the process boundary.
 _POOL_CONSTRUCTORS = frozenset({
     "Pool", "Process", "ProcessPoolExecutor", "ProcessPoolEvaluator",
+    "WorkerPool",
 })
 
 

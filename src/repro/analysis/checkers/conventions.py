@@ -26,7 +26,7 @@ from repro.analysis.base import (
 )
 from repro.analysis.findings import Finding, Severity
 
-_METRIC_FUNCS = frozenset({"inc", "counter", "gauge", "histogram"})
+_METRIC_FUNCS = frozenset({"inc", "counter", "gauge"})
 _METRICS_MODULES = ("repro.obs.metrics", "repro.obs")
 _NAME_SHAPE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 

@@ -1109,8 +1109,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if trace_path:
             # The tracer is active (and global) for the whole command; on
-            # exit it drains any worker queue, flushes the JSONL sink and
-            # shuts the bridge down.
+            # exit it flushes and closes the JSONL sink.
             with Tracer(trace_path) as tracer, use_tracer(tracer):
                 code = args.func(args)
             # tracer.path, not trace_path: on a name collision the sink

@@ -93,8 +93,9 @@ class _AccuracyEnergyEvaluator(EnergyEvaluator):
     for the trace and the final result.  ``synth_cache`` is whichever
     recipe-prefix cache the scorer synthesizes through (the proxy's own,
     or the cross-worker shared store under ``jobs`` > 1) so the run's
-    cache accounting can be read back — **before** :meth:`close`, which
-    tears the worker pool and the shared store down.
+    cache accounting can be read back.  :meth:`close` tears the worker
+    pool down first and then closes the shared store, which freezes its
+    cross-worker totals.
     """
 
     def __init__(
@@ -127,9 +128,7 @@ class _AccuracyEnergyEvaluator(EnergyEvaluator):
     def close(self) -> None:
         if self._inner is not None:
             self._inner.close()
-        elif self.synth_cache is not None and hasattr(
-            self.synth_cache, "close"
-        ):
+        if hasattr(self.synth_cache, "close"):
             self.synth_cache.close()
 
 
@@ -182,9 +181,7 @@ class AlmostDefense:
                 )
                 scorer = worker_proxy.predicted_accuracy
             try:
-                pool = ProcessPoolEvaluator(
-                    scorer, jobs=config.jobs, shared_cache=shared
-                )
+                pool = ProcessPoolEvaluator(scorer, jobs=config.jobs)
             except BaseException:
                 # Pool construction failed (fork/fd limits): shut the
                 # store's manager server down or its process leaks.
@@ -260,9 +257,9 @@ class AlmostDefense:
                 stop_energy=config.stop_margin,
             )
         finally:
-            # close() tears the pool down and freezes the shared store's
+            # close() tears the pool down, then freezes the shared store's
             # final cross-worker totals, so cache_stats() below still sees
-            # them (pre-fix, they died with the workers).
+            # them.
             evaluator.close()
         best_recipe = result.best_state
         return AlmostResult(

@@ -12,24 +12,25 @@ The serial evaluators wrap plain callables::
     >>> BatchCallableEvaluator(lambda batch: [s + 1 for s in batch]).evaluate([1])
     [2.0]
 
-:class:`ProcessPoolEvaluator` fans batches out over a persistent
-``multiprocessing`` pool.  The scorer ships once per worker; worker-side
-state it carries (memo tables, recipe-prefix synthesis caches) persists
-across batches.  A *private* :class:`~repro.synth.cache.SynthCache` on the
-scorer is duplicated per worker — each starts cold — so scorers that want
-the serial path's hit rate under fan-out carry a
-:class:`~repro.synth.cache.SharedSynthCache` instead and hand the same
-handle to the evaluator's ``shared_cache`` parameter, which keeps its
-aggregated hit/miss totals parent-visible (``cache_stats()``) after the
-pool is torn down and shuts the store down on :meth:`close`.
+:class:`ProcessPoolEvaluator` fans batches out over a
+:class:`~repro.utils.pool.WorkerPool`.  The scorer reaches each worker
+once; worker-side state it carries (memo tables, recipe-prefix synthesis
+caches) persists across batches.  A *private*
+:class:`~repro.synth.cache.SynthCache` on the scorer is duplicated per
+worker — each starts cold — so scorers that want the serial path's hit
+rate under fan-out carry a :class:`~repro.synth.cache.SharedSynthCache`
+instead; its owner reads the cross-worker totals and closes it after the
+pool.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 from repro.errors import SearchError
-from repro.obs.trace import get_tracer, set_tracer
+from repro.obs.trace import get_tracer
+from repro.utils.pool import WorkerPool
 
 
 class EnergyEvaluator:
@@ -80,104 +81,40 @@ class BatchCallableEvaluator(EnergyEvaluator):
         return [float(value) for value in values]
 
 
-# A worker process holds the scoring callable in a module global: the
-# callable (often a whole trained proxy model) ships once per worker via
-# the pool initializer instead of once per task.
-_WORKER_FN = None
-
-
-def _pool_initializer(fn, tracer_handle=None) -> None:
-    global _WORKER_FN
-    _WORKER_FN = fn
-    if tracer_handle is not None:
-        # Worker spans/metrics flow back through the handle's queue; the
-        # parent folds them in with drain() at pool teardown.
-        set_tracer(tracer_handle)
-
-
-def _pool_call(state) -> float:
-    # The span both times the scoring call and carries the worker-local
-    # metric deltas (synth-cache traffic, solver effort) back to the parent
-    # — without it a worker's counters would die with the pool.
+def _score(fn: Callable, state) -> float:
     with get_tracer().span("search.eval"):
-        return float(_WORKER_FN(state))
+        return float(fn(state))
 
 
 class ProcessPoolEvaluator(EnergyEvaluator):
-    """Fans a candidate batch out over a persistent ``multiprocessing`` pool.
+    """Scores a candidate batch across a :class:`~repro.utils.pool.WorkerPool`.
 
-    ``fn`` must be picklable — it is shipped to each worker exactly once.
-    Worker-side state (memo tables, recipe-prefix synthesis caches) then
-    persists across batches.  ``chunksize=1`` spreads a small batch across
-    all workers instead of lumping it onto one.
-
-    ``shared_cache`` optionally hands over ownership of the
-    :class:`~repro.synth.cache.SharedSynthCache` the scorer synthesizes
-    through: its cross-worker hit/miss totals stay readable via
-    :meth:`cache_stats` (frozen at :meth:`close`, which also shuts the
-    shared store down after the workers exit).  Without it, worker-private
-    cache counters die with the pool.
+    ``fn`` reaches each worker once; worker-side state (memo tables,
+    recipe-prefix synthesis caches) then persists across batches.
     """
 
-    def __init__(self, fn: Callable, jobs: int, shared_cache=None):
+    def __init__(self, fn: Callable, jobs: int):
         if jobs < 1:
             raise SearchError(f"jobs must be >= 1, got {jobs}")
-        import multiprocessing
-
-        self.jobs = jobs
-        self.shared_cache = shared_cache
-        self._pool = multiprocessing.Pool(
-            processes=jobs,
-            initializer=_pool_initializer,
-            initargs=(fn, get_tracer().worker_handle()),
-        )
+        self._pool = WorkerPool(functools.partial(_score, fn), jobs)
 
     def evaluate(self, states: Sequence) -> list[float]:
         states = list(states)
         if not states:
             return []
         try:
-            return self._pool.map(_pool_call, states, chunksize=1)
-        except KeyboardInterrupt:
-            # Ctrl-C mid-batch: tear the workers down hard (close/join
-            # would wait on the very tasks the user just aborted), then
-            # let the interrupt keep unwinding to the partial-result
-            # handling in the driver / Runner.
-            self.terminate()
-            raise
-
-    def terminate(self) -> None:
-        """Kill the pool without waiting for in-flight tasks; idempotent."""
-        if self._pool is not None:
+            return self._pool.map(states)
+        except BaseException:
+            # Ctrl-C or a failed task: kill the workers rather than wait on
+            # the rest of the batch, then let the error unwind.
             self._pool.terminate()
-            self._pool.join()
             self._pool = None
-            get_tracer().drain()
-        if self.shared_cache is not None:
-            self.shared_cache.close()
-
-    def cache_stats(self) -> dict:
-        """Aggregated synthesis-cache stats across all pool workers.
-
-        Empty when no shared cache was attached (worker-private counters
-        are unreachable from the parent).
-        """
-        if self.shared_cache is None:
-            return {}
-        return self.shared_cache.stats()
+            raise
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.close()
-            self._pool.join()
             self._pool = None
-            # Workers have exited; fold their queued telemetry into the
-            # parent's stream.
-            get_tracer().drain()
-        if self.shared_cache is not None:
-            # Freeze the final aggregated stats, then stop the store's
-            # manager server — the workers that fed it are gone.
-            self.shared_cache.close()
 
 
 def as_evaluator(obj) -> EnergyEvaluator:

@@ -2,12 +2,13 @@
 
 Three small, dependency-free layers (see ``docs/observability.md``):
 
-* :mod:`repro.obs.metrics` — a process-local registry of named counters /
-  gauges / histograms that instrumentation points increment.
+* :mod:`repro.obs.metrics` — a process-local registry of named counters
+  and gauges that instrumentation points increment.
 * :mod:`repro.obs.trace` — hierarchical spans (run → cell → stage →
   search round → SAT solve) that snapshot the counters on entry and record
-  the deltas on close, a buffered JSONL sink, and a manager-queue bridge
-  that lets pool workers report into the parent's stream.
+  the deltas on close, and a buffered JSONL sink.  Pool workers
+  (:mod:`repro.utils.pool`) send their spans and counter deltas home with
+  each task's result.
 * :mod:`repro.obs.logs` — the ``repro.*`` logging hierarchy and the CLI's
   ``--verbose`` / ``--quiet`` configuration hook.
 """
@@ -19,7 +20,6 @@ from repro.obs.metrics import (
     counter,
     gauge,
     get_registry,
-    histogram,
     inc,
 )
 from repro.obs.trace import (
@@ -45,7 +45,6 @@ __all__ = [
     "get_logger",
     "get_registry",
     "get_tracer",
-    "histogram",
     "inc",
     "set_tracer",
     "use_tracer",

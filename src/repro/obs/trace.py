@@ -1,4 +1,4 @@
-"""Hierarchical tracing: spans, a buffered JSONL sink, a worker bridge.
+"""Hierarchical tracing: spans and a buffered JSONL sink.
 
 A *span* is one timed region of a run — ``run`` → ``cell`` → ``stage`` →
 ``search.round`` → ``sat.solve`` — opened as a context manager on the
@@ -26,15 +26,11 @@ therefore never guard themselves::
     >>> tracer.records[0]["parent_id"] == tracer.records[1]["span_id"]
     True
 
-**Cross-process bridge.**  Pool workers (grid cells, ``ProcessPoolEvaluator``
-scoring) report into the parent's stream through a ``multiprocessing``
-manager queue: :meth:`Tracer.worker_handle` lazily creates the queue and
-returns a picklable handle (``__getstate__`` drops the unpicklable manager,
-mirroring :class:`~repro.synth.cache.SharedSynthCache`); unpickled handles
-emit straight into the queue, and the parent folds the queue back into its
-buffer with :meth:`Tracer.drain` when the pool is torn down.  Worker spans
-parent to whatever span was open when the handle was created, so the tree
-stays connected across process boundaries.
+**Crossing processes.**  A pool worker (:mod:`repro.utils.pool`) records
+each task into a fresh buffer-only tracer whose top-level spans parent to
+the span that was open in the parent when the batch was submitted; the
+records travel home with the task's result and the parent appends them
+with :meth:`Tracer.absorb`, so one tree spans every process.
 """
 
 from __future__ import annotations
@@ -42,18 +38,17 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import queue as _queue_mod
 import time
 from contextlib import contextmanager
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Iterator, Optional, Sequence, Union
 
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, counters_delta
 
 #: Bumped when the JSONL record shape changes (see docs/observability.md).
 TRACE_SCHEMA = 1
 
-#: Process-wide span-id counter.  Module-level so handles unpickled for
-#: different pool tasks in the same worker process never reuse an id.
+#: Process-wide span-id counter.  Module-level so the per-task tracers of
+#: one pool worker process never reuse an id.
 _ID_COUNTER = itertools.count(1)
 
 
@@ -92,12 +87,7 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         elapsed = time.perf_counter() - self._started
-        before = self._counters
-        deltas = {
-            name: value - before.get(name, 0)
-            for name, value in REGISTRY.counters().items()
-            if value != before.get(name, 0)
-        }
+        deltas = counters_delta(self._counters)
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
         self.tracer._pop(self)
@@ -147,13 +137,6 @@ class NullTracer:
     def event(self, name: str, **attrs) -> None:
         pass
 
-    def worker_handle(self) -> None:
-        """No bridge when tracing is off — workers get ``None``."""
-        return None
-
-    def drain(self) -> int:
-        return 0
-
     def flush(self) -> None:
         pass
 
@@ -166,9 +149,11 @@ class Tracer:
 
     ``path`` names the sink; records are buffered and written out every
     ``buffer_limit`` records and on :meth:`flush`/:meth:`close`.  Without a
-    path everything stays in :attr:`records` (what the tests read).  The
-    tracer is also a context manager — ``with Tracer(path) as t`` closes
-    (drains, flushes, shuts the bridge down) on exit.
+    path everything stays in :attr:`records` (what the tests read and what
+    pool workers send home).  ``parent_id`` is the span id top-level spans
+    hang off (a pool worker's per-task tracer gets the parent process's
+    open span).  The tracer is also a context manager — ``with
+    Tracer(path) as t`` flushes and closes the sink on exit.
     """
 
     enabled = True
@@ -177,16 +162,14 @@ class Tracer:
         self,
         path: Optional[Union[str, os.PathLike]] = None,
         buffer_limit: int = 256,
+        parent_id: Optional[str] = None,
     ):
         self.path = str(path) if path else None
         self.buffer_limit = buffer_limit
         self.records: list[dict] = []
         self._stack: list[Span] = []
         self._sink: Optional[IO[str]] = None
-        self._manager = None
-        self._qsend = None
-        self._worker = False
-        self._remote_parent: Optional[str] = None
+        self._parent_id = parent_id
         self._closed = False
 
     # -- span lifecycle ----------------------------------------------------
@@ -213,7 +196,7 @@ class Tracer:
     def current_span_id(self) -> Optional[str]:
         if self._stack:
             return self._stack[-1].span_id
-        return self._remote_parent
+        return self._parent_id
 
     def _push(self, span: Span) -> Optional[str]:
         parent = self.current_span_id()
@@ -230,94 +213,18 @@ class Tracer:
     # -- record flow -------------------------------------------------------
 
     def _emit(self, record: dict) -> None:
-        if self._worker:
-            self._qsend.put(record)
-            return
-        self.records.append(record)
+        self.absorb((record,))
+
+    def absorb(self, records: Sequence[dict]) -> None:
+        """Append records — one span's, or the ones a pool worker sent home
+        with its task's result."""
+        self.records.extend(records)
         if self.path and len(self.records) >= self.buffer_limit:
             self.flush()
 
     @property
     def span_count(self) -> int:
         return sum(1 for r in self.records if r.get("kind") == "span")
-
-    # -- the cross-process bridge -----------------------------------------
-
-    def worker_handle(self) -> "Tracer":
-        """A handle pool workers install (``set_tracer``) and emit through.
-
-        Creates the manager-backed queue on first use (tracing without
-        fan-out never pays the manager-process cost).  The handle is a
-        *separate* tracer already in worker mode: pool initargs are
-        inherited as-is under the ``fork`` start method (no pickling
-        happens), so the mode flip cannot be left to ``__setstate__``.
-        Under ``spawn`` the handle pickles fine too — ``__getstate__``
-        keeps the queue proxy and drops everything else.
-        """
-        if self._worker:
-            return self
-        if self._qsend is None:
-            import multiprocessing
-
-            self._manager = multiprocessing.Manager()
-            self._qsend = self._manager.Queue()
-        handle = Tracer.__new__(Tracer)
-        handle.__setstate__(
-            {
-                "path": None,
-                "buffer_limit": self.buffer_limit,
-                "_qsend": self._qsend,
-                "_remote_parent": self.current_span_id(),
-            }
-        )
-        return handle
-
-    def __getstate__(self) -> dict:
-        if self._qsend is None:
-            raise TypeError(
-                "Tracer is only picklable as a worker handle — call "
-                "worker_handle() first"
-            )
-        return {
-            "path": None,
-            "buffer_limit": self.buffer_limit,
-            "_qsend": self._qsend,
-            # Worker spans hang off whatever span is open right now, so
-            # the parent's tree stays connected across the pool boundary.
-            "_remote_parent": self.current_span_id(),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.path = state["path"]
-        self.buffer_limit = state["buffer_limit"]
-        self.records = []
-        self._stack = []
-        self._sink = None
-        self._manager = None
-        self._qsend = state["_qsend"]
-        self._worker = True
-        self._remote_parent = state["_remote_parent"]
-        self._closed = False
-
-    def drain(self) -> int:
-        """Fold queued worker records into the buffer; returns the count.
-
-        Call after a pool's tasks complete (the evaluator/runner teardown
-        hooks do).  Safe when no bridge was ever created.
-        """
-        if self._qsend is None or self._worker:
-            return 0
-        drained = 0
-        while True:
-            try:
-                record = self._qsend.get_nowait()
-            except (_queue_mod.Empty, OSError, EOFError):
-                break
-            self.records.append(record)
-            drained += 1
-        if self.path and len(self.records) >= self.buffer_limit:
-            self.flush()
-        return drained
 
     # -- sink --------------------------------------------------------------
 
@@ -375,20 +282,14 @@ class Tracer:
         self.records = []
 
     def close(self) -> None:
-        """Drain the bridge, flush the sink, shut the bridge down."""
+        """Flush and close the sink; idempotent."""
         if self._closed:
             return
         self._closed = True
-        if not self._worker:
-            self.drain()
-            self.flush()
-            if self._sink is not None:
-                self._sink.close()
-                self._sink = None
-            if self._manager is not None:
-                self._manager.shutdown()
-                self._manager = None
-                self._qsend = None
+        self.flush()
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
 
     def __enter__(self) -> "Tracer":
         return self

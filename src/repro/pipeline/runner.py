@@ -9,10 +9,12 @@ dependencies' fingerprints, so any upstream change (different seed, bigger
 key, new recipe) transparently invalidates everything downstream while
 untouched prefixes keep hitting the :class:`~repro.pipeline.cache.\
 ArtifactCache`.  Cells are independent, so :class:`Runner` fans them out
-over a ``multiprocessing`` pool — the Table 1/2-style sweeps become
-embarrassingly parallel, and because workers share the on-disk cache, the
-lock/synth prefix of a benchmark is computed once no matter how many
-attacks cross it.
+over a :class:`~repro.utils.pool.WorkerPool` — the Table 1/2-style sweeps
+become embarrassingly parallel, and because workers share the on-disk
+cache, the lock/synth prefix of a benchmark is computed once no matter how
+many attacks cross it.  Each cell's spans and counter deltas come home
+with its result, so the parent's ``run`` span counts the work of every
+cell, wherever it ran.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.errors import PipelineError
 from repro.obs.logs import get_logger
-from repro.obs.trace import get_tracer, set_tracer
+from repro.obs.trace import get_tracer
 from repro.pipeline import stages as _stages  # populate the registry
 from repro.pipeline import registry
 from repro.pipeline.cache import (
@@ -39,6 +41,7 @@ from repro.pipeline.cache import (
 )
 from repro.pipeline.spec import AttackSpec, BenchmarkSpec, ExperimentSpec
 from repro.pipeline.stages import AttackContext, resolve_recipe
+from repro.utils.pool import WorkerPool
 
 _MISS = object()
 
@@ -645,9 +648,8 @@ class Runner:
         self,
         expanded: Sequence[tuple[str, ExperimentSpec]],
     ) -> tuple[list[CellResult], list, bool]:
-        import multiprocessing
-
         cache_root = str(self.cache.root) if self.cache is not None else None
+        warm_prefixes = self.use_cache and cache_root is not None
         # Same (variant × benchmark × attack) order as the serial path, by
         # index — spec dataclasses carry dict params and are not hashable.
         payloads = []
@@ -658,19 +660,17 @@ class Runner:
                 range(len(sub.attacks)) if sub.attacks else [None]
             )
             payloads.extend(
-                (spec_dict, bench_i, attack_i, cache_root, self.use_cache,
-                 label)
+                (_cell_worker,
+                 (spec_dict, bench_i, attack_i, cache_root, self.use_cache,
+                  label))
                 for bench_i in range(len(sub.benchmarks))
                 for attack_i in attack_indices
             )
-            if len(sub.attacks) > 1:
+            if warm_prefixes and len(sub.attacks) > 1:
                 prefix_payloads.extend(
-                    (spec_dict, bench_i, cache_root)
+                    (_prefix_worker, (spec_dict, bench_i, cache_root))
                     for bench_i in range(len(sub.benchmarks))
                 )
-        workers = min(self.jobs, len(payloads))
-        warmup: list = []
-        interrupted = False
         on_prefix = on_cell = None
         if self.progress is not None:
             def on_prefix(outcome):
@@ -689,37 +689,33 @@ class Runner:
                             "attack": cell["attack"],
                         }
                     )
-        with multiprocessing.Pool(
-            processes=workers,
-            initializer=_worker_init,
-            initargs=(get_tracer().worker_handle(),),
-        ) as pool:
-            outcomes: list = []
-            if self.use_cache and cache_root is not None and prefix_payloads:
+
+        def collect(pool, tasks, done: dict, on_result) -> None:
+            for index, outcome in pool.imap(tasks):
+                done[index] = outcome
+                if on_result is not None:
+                    on_result(outcome)
+
+        prefixes: dict[int, dict] = {}
+        cells: dict[int, dict] = {}
+        interrupted = False
+        try:
+            with WorkerPool(_call, min(self.jobs, len(payloads))) as pool:
                 # Warm each variant × benchmark's shared benchmark→lock→
-                # defense→synth prefix first (one pool task each) so the
-                # attack cells below all hit the cache instead of racing
-                # to recompute the same — possibly expensive — prefix.
-                prefix_outcomes, interrupted = _collect_async(
-                    pool, _prefix_worker, prefix_payloads, on_prefix
-                )
-                self._absorb_worker_stats(prefix_outcomes)
-                warmup = [
-                    entry
-                    for outcome in prefix_outcomes
-                    for entry in outcome["log"]
-                ]
-            if not interrupted:
-                outcomes, interrupted = _collect_async(
-                    pool, _cell_worker, payloads, on_cell
-                )
-        # Workers are gone once the pool context exits; fold their queued
-        # spans into the parent's stream.
-        get_tracer().drain()
-        self._absorb_worker_stats(outcomes)
+                # defense→synth prefix first (one task each) so the attack
+                # cells below all hit the cache instead of racing to
+                # recompute the same — possibly expensive — prefix.
+                collect(pool, prefix_payloads, prefixes, on_prefix)
+                collect(pool, payloads, cells, on_cell)
+        except KeyboardInterrupt:
+            # The pool is terminated; keep whatever already finished.
+            interrupted = True
+        prefix_outcomes = [prefixes[i] for i in sorted(prefixes)]
+        outcomes = [cells[i] for i in sorted(cells)]
+        self._absorb_worker_stats(prefix_outcomes + outcomes)
         return (
             [CellResult.from_dict(o["cell"]) for o in outcomes],
-            warmup,
+            [entry for o in prefix_outcomes for entry in o["log"]],
             interrupted,
         )
 
@@ -744,51 +740,10 @@ class Runner:
         return text
 
 
-def _collect_async(
-    pool, fn, payloads, on_result=None
-) -> tuple[list, bool]:
-    """``pool.map``, but a Ctrl-C actually lands.
-
-    A plain ``map()`` parks the parent in a condition-variable wait
-    where ``KeyboardInterrupt`` delivery is unreliable; ``apply_async``
-    plus a ``ready()`` poll keeps the main thread interruptible.  On
-    interrupt the pool is terminated and whatever already finished is
-    returned with ``interrupted=True``.  ``on_result`` sees each
-    successful outcome once, as soon as it is ready (progress streaming).
-    """
-    handles = [pool.apply_async(fn, (payload,)) for payload in payloads]
-    reported = [False] * len(handles)
-
-    def _scan() -> bool:
-        pending = False
-        for index, handle in enumerate(handles):
-            if not handle.ready():
-                pending = True
-            elif not reported[index]:
-                reported[index] = True
-                if on_result is not None and handle.successful():
-                    on_result(handle.get())
-        return pending
-
-    try:
-        while _scan():
-            time.sleep(0.05)
-    except KeyboardInterrupt:
-        pool.terminate()
-        done = [
-            handle.get()
-            for handle in handles
-            if handle.ready() and handle.successful()
-        ]
-        return done, True
-    # Re-raise any worker exception with pool.map semantics.
-    return [handle.get() for handle in handles], False
-
-
-def _worker_init(tracer_handle) -> None:
-    """Pool initializer: point the worker's telemetry at the parent's queue."""
-    if tracer_handle is not None:
-        set_tracer(tracer_handle)
+def _call(task):
+    """Pool task function: ``(worker, payload)`` -> ``worker(payload)``."""
+    worker, payload = task
+    return worker(payload)
 
 
 def _cell_worker(payload) -> dict:

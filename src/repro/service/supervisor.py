@@ -24,10 +24,10 @@ the dead worker completed is a content-hash hit in the shared
 :class:`~repro.pipeline.cache.ArtifactCache` — the retry pays only for
 the stage that was actually interrupted.
 
-Queues are manager-backed (like the obs bridge and
-:class:`~repro.synth.cache.SharedSynthCache`) rather than pipe-backed:
-a SIGKILLed client cannot corrupt a manager queue for the survivors,
-which is precisely the failure mode a supervisor exists to absorb.
+Queues are manager-backed (like
+:class:`~repro.synth.cache.SharedSynthCache`) rather than pipe-backed: a
+SIGKILLed client cannot corrupt a manager queue for the survivors, which
+is precisely the failure mode a supervisor exists to absorb.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Optional
 from repro.errors import JobStateError
 from repro.obs import metrics as _metrics
 from repro.obs.logs import get_logger
-from repro.obs.trace import get_tracer
 from repro.service import jobs as _jobs
 from repro.service.store import JobStore
 from repro.service.worker import worker_main
@@ -203,8 +202,7 @@ class Supervisor:
         process = multiprocessing.Process(
             target=worker_main,
             args=(worker_id, task_q, self._events, self.cache_root,
-                  self.use_cache, self.heartbeat_s,
-                  get_tracer().worker_handle()),
+                  self.use_cache, self.heartbeat_s),
             name=f"repro-{worker_id}",
             daemon=False,  # workers may fan grid cells out to pools
         )
@@ -248,7 +246,6 @@ class Supervisor:
         self._reap()
         self._enforce_cancellations()
         self._dispatch()
-        get_tracer().drain()
 
     def _pump(self) -> None:
         if self._events is None:
@@ -295,12 +292,12 @@ class Supervisor:
             return
         if kind == "result":
             _run_dict, deltas = event[3], event[4]
-            self._fold_metrics(deltas)
+            _metrics.fold_counters(deltas or {})
             self.store.transition(job_id, _jobs.DONE, result=_run_dict)
             _metrics.inc("service.jobs_completed")
         elif kind == "error":
             message, deltas = event[3], event[4]
-            self._fold_metrics(deltas)
+            _metrics.fold_counters(deltas or {})
             self.store.transition(job_id, _jobs.FAILED, error=message)
             _metrics.inc("service.jobs_failed")
         elif kind == "interrupted":
@@ -311,12 +308,6 @@ class Supervisor:
                     job_id, _jobs.QUEUED, reason="interrupted"
                 )
                 _metrics.inc("service.jobs_requeued")
-
-    @staticmethod
-    def _fold_metrics(deltas: dict) -> None:
-        for name, amount in (deltas or {}).items():
-            if isinstance(amount, int) and amount > 0:
-                _metrics.inc(name, amount)
 
     def _watchdog(self) -> None:
         now = time.time()

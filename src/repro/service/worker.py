@@ -37,18 +37,10 @@ import signal
 import threading
 import time
 
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, counters_delta
 from repro.obs.trace import get_tracer, set_tracer
 from repro.pipeline.runner import Runner
 from repro.pipeline.spec import ExperimentSpec
-
-
-def _counters_delta(before: dict) -> dict:
-    return {
-        name: value - before.get(name, 0)
-        for name, value in REGISTRY.counters().items()
-        if value != before.get(name, 0)
-    }
 
 
 def _heartbeat_loop(worker_id: str, event_q, interval_s: float, stop) -> None:
@@ -101,7 +93,7 @@ def run_job(
         # any worker-side failure becomes a FAILED job, never a dead pool.
         event_q.put(
             ("error", worker_id, job_id,
-             f"{type(exc).__name__}: {exc}", _counters_delta(before))
+             f"{type(exc).__name__}: {exc}", counters_delta(before))
         )
         return True
     if run.interrupted:
@@ -109,7 +101,7 @@ def run_job(
         return False
     event_q.put(
         ("result", worker_id, job_id, run.to_dict(),
-         _counters_delta(before))
+         counters_delta(before))
     )
     return True
 
@@ -121,19 +113,16 @@ def worker_main(
     cache_root=None,
     use_cache: bool = True,
     heartbeat_s: float = 1.0,
-    tracer_handle=None,
 ) -> None:
     """Process entry point: heartbeat thread + the task loop.
 
     ``task_q`` delivers job assignment dicts (``{"id", "spec",
-    "options"}``); ``None`` is the shutdown sentinel.  ``tracer_handle``
-    (from :meth:`Tracer.worker_handle`) routes this worker's spans into
-    the daemon's trace stream over the existing obs bridge.
+    "options"}``); ``None`` is the shutdown sentinel.
     """
     signal.signal(signal.SIGTERM, _raise_interrupt)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if tracer_handle is not None:
-        set_tracer(tracer_handle)
+    # Drop any tracer (and open sink) inherited from the daemon process.
+    set_tracer(None)
     stop = threading.Event()
     beat = threading.Thread(
         target=_heartbeat_loop,

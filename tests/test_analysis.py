@@ -177,6 +177,15 @@ def test_rpr201_flags_lambda_to_pool(tmp_path):
     """)
     assert codes_at(findings) == [("RPR201", 2)]
     assert "lambda" in findings[0].message
+    findings = lint_source(tmp_path, """\
+        from repro.utils.pool import WorkerPool
+
+        def fan_out(xs):
+            with WorkerPool(lambda v: v + 1, jobs=2) as pool:
+                return pool.map(xs)
+    """)
+    assert codes_at(findings) == [("RPR201", 4)]
+    assert "WorkerPool" in findings[0].message
 
 
 def test_rpr201_flags_nested_function_to_pool(tmp_path):

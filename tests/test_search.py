@@ -657,7 +657,6 @@ class TestSharedSynthCache:
         pool = ProcessPoolEvaluator(
             functools.partial(_shared_cache_energy, cache, c432_netlist),
             jobs=2,
-            shared_cache=cache,
         )
         result = run_search(
             recipe_problem(),
@@ -670,7 +669,7 @@ class TestSharedSynthCache:
         # recipe steps is either served from a snapshot or executed.
         # These totals are exact regardless of how the pool scheduled the
         # candidates across workers.
-        stats = pool.cache_stats()
+        stats = cache.stats()
         evals = result.energy_evaluations
         assert evals == 4 * 4  # bootstrap + 3 rounds of 4 chains
         assert stats["prefix_hits"] + stats["prefix_misses"] == evals
@@ -678,8 +677,9 @@ class TestSharedSynthCache:
         assert stats["prefix_hits"] > 0
         assert stats["shared"] is True
         pool.close()
+        cache.close()
         # close() froze the final totals; they remain readable.
-        assert pool.cache_stats() == stats
+        assert cache.stats() == stats
 
     def test_lru_bound_holds_across_stores(self, c432_netlist):
         cache = self._fresh(max_entries=4)
