@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.errors import AigError
+from repro.errors import AigError, CutEscapeError
 
 CONST_VAR = 0
 
@@ -307,9 +307,10 @@ class Aig:
     def cone_vars(self, root_lit: int, leaves: Iterable[int]) -> list[int]:
         """AND variables between cut ``leaves`` and ``root_lit``, topo order.
 
-        Raises :class:`AigError` if the cone escapes the leaves (reaches a PI
-        or constant not in the leaf set) — that means ``leaves`` is not a
-        valid cut of the root.
+        Raises :class:`CutEscapeError` if the cone escapes the leaves
+        (reaches a PI or constant not in the leaf set) — that means
+        ``leaves`` is not a valid cut of the root — and :class:`AigError`
+        on a cycle.
         """
         leaf_set = set(leaves)
         root = lit_var(root_lit)
@@ -330,7 +331,7 @@ class Aig:
                     if child in leaf_set or state.get(child) == 2:
                         continue
                     if not self.is_and(child):
-                        raise AigError(
+                        raise CutEscapeError(
                             f"cone of {root} escapes cut at var {child}"
                         )
                     if state.get(child) == 1:

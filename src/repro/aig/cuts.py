@@ -18,9 +18,10 @@ from repro.aig.aig import Aig, lit_var
 class CutManager:
     """Lazily computes and memoizes k-feasible cuts per node.
 
-    Safe to use during an in-place optimization pass: memoized entries belong
-    to nodes upstream of the pass cursor, which the pass never mutates (see
-    the pass-ordering argument in ``repro.synth.rewrite``).
+    Memoized entries are never recomputed.  During an in-place optimization
+    pass a node's cuts can go stale — a leaf can drop out of its cone — so
+    such a pass must tolerate a cut whose cone escapes its leaves (see the
+    pass-ordering note in ``repro.synth.rewrite``).
     """
 
     def __init__(self, aig: Aig, k: int = 4, limit: int = 8):
@@ -83,9 +84,6 @@ class CutManager:
             if len(kept) >= self.limit:
                 break
         return [(var,)] + kept
-
-    def invalidate(self, var: int) -> None:
-        self._memo.pop(var, None)
 
 
 def enumerate_cuts(

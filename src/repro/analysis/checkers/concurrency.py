@@ -1,11 +1,11 @@
 """Concurrency and picklability rules (RPR2xx).
 
-Everything shipped to a ``multiprocessing`` pool, a supervised service
-worker, or a :class:`~repro.utils.pool.WorkerPool` crosses a process
-boundary — under the ``spawn`` start method *nothing* is inherited.  These
-rules encode the unpicklable-Manager and fork-vs-spawn lessons: no
-lambdas/closures into pools, no Manager proxies in classes without a
-``__getstate__``, and no lock-guarded state mutated off-lock.
+Everything shipped to a ``multiprocessing`` pool or a
+:class:`~repro.utils.pool.WorkerPool` crosses a process boundary — under
+the ``spawn`` start method *nothing* is inherited.  These rules encode
+the unpicklable-Manager and fork-vs-spawn lessons: no lambdas/closures
+into pools, no Manager proxies in classes without a ``__getstate__``,
+and no lock-guarded state mutated off-lock.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class ManagerProxyWithoutGetstate(Checker):
                     f"self.{targets[0].attr} but defines no __getstate__; "
                     "the manager (and a SyncManager is never picklable) "
                     "rides along into every pickle of the instance — drop "
-                    "or guard it like SharedSynthCache/Tracer do",
+                    "or guard it like SharedSynthCache does",
                 )
                 break  # one finding per class is enough
 
@@ -264,7 +264,7 @@ class SharedStateMutatedOffLock(Checker):
     name = "shared-state-off-lock"
     summary = (
         "attribute that is mutated under `with self._lock` elsewhere is "
-        "also mutated without it — a supervisor/store race"
+        "also mutated without it — a data race"
     )
 
     def check_module(self, module: ModuleUnderLint) -> Iterable[Finding]:

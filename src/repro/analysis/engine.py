@@ -4,7 +4,7 @@ baseline, render the report.
 Stdlib-only and deliberately boring: one pass parses each file once,
 hands the same :class:`~repro.analysis.base.ModuleUnderLint` to every
 checker, then project-wide rules flush from ``finish()``.  The exit-code
-contract (shared by ``repro lint`` and ``tools/lint.py``) is::
+contract of ``repro lint`` is::
 
     0  no fresh findings (baselined ones don't count)
     1  at least one fresh finding

@@ -21,6 +21,10 @@ class AigError(ReproError):
     """Invalid AIG operation (bad literal, missing node, cyclic graph)."""
 
 
+class CutEscapeError(AigError):
+    """A cut's leaves do not bound its root's cone (it reaches an input)."""
+
+
 class SynthesisError(ReproError):
     """A synthesis transformation failed or a recipe is malformed."""
 
@@ -63,11 +67,3 @@ class CacheError(PipelineError):
 
 class AnalysisError(ReproError):
     """Static-analysis failure (duplicate rule code, bad baseline file)."""
-
-
-class ServiceError(ReproError):
-    """Job-service failure (daemon unreachable, bad request, HTTP error)."""
-
-
-class JobStateError(ServiceError):
-    """An invalid job-state transition was attempted (or an unknown job)."""

@@ -100,13 +100,8 @@ def topological_order(stages: Sequence[Stage]) -> list[Stage]:
 def execute_stages(
     stage_list: Sequence[Stage],
     cache: Optional[ArtifactCache],
-    progress: Optional[Callable[[dict], None]] = None,
 ) -> tuple[dict[str, Any], list[dict]]:
-    """Run a stage DAG; returns (artifacts by stage, execution log).
-
-    ``progress`` (if given) receives each execution-log entry as soon as
-    its stage settles — the job daemon streams these to the client.
-    """
+    """Run a stage DAG; returns (artifacts by stage, execution log)."""
     artifacts: dict[str, Any] = {}
     fingerprints: dict[str, str] = {}
     log: list[dict] = []
@@ -138,15 +133,12 @@ def execute_stages(
             digest[:12],
         )
         artifacts[stage.name] = value
-        entry = {
+        log.append({
             "stage": stage.name,
             "fingerprint": digest,
             "cached": cached,
             "elapsed_s": elapsed,
-        }
-        log.append(entry)
-        if progress is not None:
-            progress(entry)
+        })
     return artifacts, log
 
 
@@ -313,9 +305,7 @@ class Runner:
     ``workdir`` overrides the artifact-cache root (default
     ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``); ``jobs`` > 1 distributes
     grid cells over a process pool; ``use_cache=False`` recomputes
-    everything (cold-run benchmarking).  ``progress`` receives each
-    stage's execution-log entry (labelled with its benchmark/attack) as
-    it settles — the job daemon's workers stream these upward.
+    everything (cold-run benchmarking).
     """
 
     def __init__(
@@ -324,13 +314,11 @@ class Runner:
         jobs: int = 1,
         use_cache: bool = True,
         cache: Optional[ArtifactCache] = None,
-        progress: Optional[Callable[[dict], None]] = None,
     ):
         if jobs < 1:
             raise PipelineError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.use_cache = use_cache
-        self.progress = progress
         self.workdir = Path(workdir).expanduser() if workdir else None
         if cache is not None:
             self.cache: Optional[ArtifactCache] = cache
@@ -513,16 +501,11 @@ class Runner:
     ) -> CellResult:
         started = time.perf_counter()
         attack_label = attack.cell_label if attack is not None else ""
-        progress = None
-        if self.progress is not None:
-            def progress(entry, _b=bench.label, _a=attack_label):
-                self.progress({**entry, "benchmark": _b, "attack": _a})
         with get_tracer().span(
             "cell", benchmark=bench.label, attack=attack_label
         ):
             artifacts, log = execute_stages(
-                self._build_cell_stages(spec, bench, attack), self.cache,
-                progress=progress,
+                self._build_cell_stages(spec, bench, attack), self.cache
             )
         lock_artifact = _stages.effective_lock(artifacts)
         synth_artifact = artifacts["synth"]
@@ -571,9 +554,9 @@ class Runner:
     @staticmethod
     def _install_sigterm():
         """Map SIGTERM onto :class:`KeyboardInterrupt` for the duration
-        of a run, so daemon-style termination rides the same
-        partial-result path as Ctrl-C.  Returns the previous handler, or
-        ``None`` when signals are off-limits (not the main thread)."""
+        of a run, so a plain ``kill`` rides the same partial-result path
+        as Ctrl-C.  Returns the previous handler, or ``None`` when signals
+        are off-limits (not the main thread)."""
         if threading.current_thread() is not threading.main_thread():
             return None
 
@@ -671,31 +654,6 @@ class Runner:
                     (_prefix_worker, (spec_dict, bench_i, cache_root))
                     for bench_i in range(len(sub.benchmarks))
                 )
-        on_prefix = on_cell = None
-        if self.progress is not None:
-            def on_prefix(outcome):
-                for entry in outcome["log"]:
-                    self.progress(
-                        {**entry, "benchmark": "", "attack": ""}
-                    )
-
-            def on_cell(outcome):
-                cell = outcome["cell"]
-                for entry in cell["stages"]:
-                    self.progress(
-                        {
-                            **entry,
-                            "benchmark": cell["benchmark"],
-                            "attack": cell["attack"],
-                        }
-                    )
-
-        def collect(pool, tasks, done: dict, on_result) -> None:
-            for index, outcome in pool.imap(tasks):
-                done[index] = outcome
-                if on_result is not None:
-                    on_result(outcome)
-
         prefixes: dict[int, dict] = {}
         cells: dict[int, dict] = {}
         interrupted = False
@@ -705,8 +663,10 @@ class Runner:
                 # defense→synth prefix first (one task each) so the attack
                 # cells below all hit the cache instead of racing to
                 # recompute the same — possibly expensive — prefix.
-                collect(pool, prefix_payloads, prefixes, on_prefix)
-                collect(pool, payloads, cells, on_cell)
+                for index, outcome in pool.imap(prefix_payloads):
+                    prefixes[index] = outcome
+                for index, outcome in pool.imap(payloads):
+                    cells[index] = outcome
         except KeyboardInterrupt:
             # The pool is terminated; keep whatever already finished.
             interrupted = True

@@ -7,10 +7,14 @@ node count; with ``zero_cost=True`` (``rewrite -z``) equal-size replacements
 are also committed, which reshapes localities and unlocks later passes —
 the property ALMOST's recipe search exploits.
 
-Pass-ordering safety: nodes are visited in a topological order snapshot;
-replacements only rewire the *fanout* cone of the visited node (always later
-in the order), so memoized cuts of earlier nodes can never go stale, and the
-leaves of memoized cuts stay alive because live cones keep referencing them.
+Pass ordering: nodes are visited in a topological order snapshot, and a
+replacement mostly rewires the *fanout* cone of the visited node, later in
+the order.  Not always: a replacement can leave an earlier, already-visited
+node reading an existing node that comes later in the snapshot.  When that
+later node is replaced in turn, the earlier node's memoized cuts (and every
+cut merged from them) still name it as a leaf, although it has left the
+cone.  A cut whose cone escapes its leaves that way is skipped; a cycle
+still raises.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from repro.aig.aig import Aig, lit_not, make_lit
 from repro.aig.cuts import CutManager
 from repro.aig.simulate import cut_truth_table
+from repro.errors import CutEscapeError
 from repro.synth.library import RewriteLibrary
 from repro.synth.opt_common import (
     constant_or_leaf_lit,
@@ -48,7 +53,10 @@ def rewrite_pass(
         for cut in manager.cuts(var):
             if len(cut) < 2 or var in cut:
                 continue
-            table = cut_truth_table(aig, make_lit(var), cut)
+            try:
+                table = cut_truth_table(aig, make_lit(var), cut)
+            except CutEscapeError:
+                continue  # a stale memoized cut (see the module docstring)
             handles = leaf_lits(cut)
             trivial = constant_or_leaf_lit(table.bits, table.nvars, handles)
             if trivial is not None:

@@ -6,14 +6,18 @@ pass-specific properties: rewrite/refactor/resub never increase node count,
 balance never increases depth on tree-like logic.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import aig_from_netlist
+from repro.aig.aig import lit_var, make_lit
+from repro.aig.aiger_io import load_aiger
 from repro.aig.cuts import CutManager, enumerate_cuts, reconvergence_cut
 from repro.aig.simulate import cut_truth_table, functionally_equal
-from repro.errors import SynthesisError
+from repro.errors import CutEscapeError, SynthesisError
 from repro.sat import check_equivalence
 from repro.synth import RESYN2, Recipe, apply_recipe, apply_transform, random_recipe
 from repro.synth.balance import balance
@@ -21,6 +25,8 @@ from repro.synth.refactor import refactor_pass
 from repro.synth.resub import resub_pass
 from repro.synth.rewrite import rewrite_pass
 from tests.conftest import build_random_netlist
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def random_aig(seed, num_gates=25):
@@ -108,6 +114,26 @@ class TestPassEquivalence:
         # proof.
         assert functionally_equal(aig, optimized)
         assert check_equivalence(aig, optimized).equivalent
+
+    @pytest.mark.parametrize("zero_cost", [False, True])
+    def test_rewrite_skips_stale_memoized_cuts(self, zero_cost):
+        # The AIG SCOPE synthesizes for `repro grid --benchmarks c1908
+        # --attacks scope --key-size 16` (keyinput3 tied to 1), after `b`:
+        # an early replacement leaves a visited node reading a later one,
+        # and replacing that later node leaves the earlier node's memoized
+        # cuts escaping their leaves.  Both passes used to raise here.
+        aig = load_aiger(DATA / "c1908_rll16_tied_post_balance.aag")
+        reference = aig.clone()
+        rewrite_pass(aig, zero_cost=zero_cost)
+        aig.check()
+        assert check_equivalence(reference, aig).equivalent
+
+    def test_cut_escape_is_its_own_error(self, c432_quick):
+        aig = aig_from_netlist(c432_quick)
+        var = aig.topological_ands()[-1]
+        one_fanin = lit_var(aig.fanins(var)[0])
+        with pytest.raises(CutEscapeError, match="escapes cut"):
+            cut_truth_table(aig, make_lit(var), (one_fanin,))
 
 
 class TestPassGains:
